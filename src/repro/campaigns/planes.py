@@ -216,24 +216,13 @@ class CampaignPlane:
         standing subscription was opened and never closed -- the bug
         class the in-flight table refactors are most prone to.
         """
-        pending = probes = waits = shares = 0
-        for fe in self.frontends:
-            pending += len(fe._pending_queries)
-            probes += len(fe._probes)
-            waits += sum(len(v) for v in fe._shared_waits.values())
-            shares += len(fe._shares) + len(fe._share_by_id)
-        executions = sum(
-            len(node.inflight) for node in self.cluster.nodes.values()
-        )
-        shared_probes = 0
-        if self.shared_sizes is not None:
-            shared_probes = len(self.shared_sizes._probes)
+        fes, tier = self.frontends, self.shared_sizes
         # Standing-subscription hygiene: every node-side subscription
         # entry on a *live* node must belong to a standing query some
         # front-end still considers active (dead nodes' tables are
         # unreachable until recovery, when the hygiene cancels fire).
         active_subs: set[str] = set()
-        for fe in self.frontends:
+        for fe in fes:
             active_subs |= fe.standing.active_sub_ids()
         cluster = self.cluster
         standing_orphans = sum(
@@ -245,12 +234,13 @@ class CampaignPlane:
             if sub_id not in active_subs
         )
         return {
-            "frontend_pending": pending,
-            "frontend_probes": probes,
-            "frontend_shared_waits": waits,
-            "frontend_shares": shares,
-            "node_executions": executions,
-            "shared_cache_probes": shared_probes,
+            "frontend_pending": sum(fe.inflight for fe in fes),
+            "frontend_probes": sum(len(fe.probes) for fe in fes),
+            "frontend_shares": sum(len(fe.shares) for fe in fes),
+            "node_executions": sum(
+                len(node.inflight) for node in cluster.nodes.values()
+            ),
+            "shared_cache_probes": len(tier.probes) if tier is not None else 0,
             "standing_orphans": standing_orphans,
         }
 

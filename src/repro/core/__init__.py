@@ -64,10 +64,10 @@ from repro.core.plan_cache import (
 from repro.core.shard_router import FrontendShardRouter, canonical_query_text
 from repro.core.result_cache import (
     CachedResult,
-    InflightTable,
     ResultCache,
     ResultCacheStats,
 )
+from repro.core.single_flight import SingleFlight
 from repro.core.planner import (
     QueryPlan,
     SemanticContext,
@@ -117,9 +117,9 @@ __all__ = [
     "MoaraNode",
     "NodeConfig",
     "CachedResult",
-    "InflightTable",
     "ResultCache",
     "ResultCacheStats",
+    "SingleFlight",
     "Or",
     "ParseError",
     "PlanningError",

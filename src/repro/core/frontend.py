@@ -36,6 +36,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from enum import Enum
 from typing import Any, Callable, Optional, Union
 
@@ -56,6 +57,7 @@ from repro.core.planner import (
 )
 from repro.core.predicates import Predicate, TruePredicate
 from repro.core.query import Query, QueryResult
+from repro.core.single_flight import Flight, SingleFlight, same_burst
 from repro.pastry.overlay import Overlay
 from repro.sim.network import FrontendTransport, Message
 from repro.sim.stats import QueryRecord
@@ -158,37 +160,17 @@ class _PendingQuery:
 
 
 @dataclass
-class _ProbeInFlight:
-    """One deduplicated size probe for one group."""
-
-    key: str  # canonical group predicate
-    tag: str  # message-accounting tag (the wire probe_id)
-    initiator: str  # qid charged for the probe traffic
-    waiters: list[str]  # qids awaiting this probe's answer
-    root: int = -1  # tree root the probe was sent to
-    #: engine event count at creation; joinable only within the same
-    #: synchronous burst (no events processed in between)
-    created_seq: int = 0
-
-
-@dataclass
 class _SharedSubQuery:
-    """One dispatched (query, cover) execution, shared by identical
-    concurrent queries; the answer fans back out to every subscriber."""
+    """Aggregation state of one dispatched (query, cover) execution: the
+    ``data`` of a share flight, whose waiters are the sharing qids."""
 
-    share_id: str
-    share_key: tuple
     query: Query
     cover: list[str]
     waiting: set[str]  # canonical keys of cover groups awaiting answers
-    subscribers: list[str]  # qids, initiator first
     partial: Any = None
     contributors: int = 0
     #: canonical group key -> tree root its sub-query was sent to
     targets: dict[str, int] = field(default_factory=dict)
-    #: engine event count at dispatch; joinable only within the same
-    #: synchronous burst (no events processed in between)
-    created_seq: int = 0
     #: cover groups whose reply carried the root-cache ``cached`` flag
     cached_groups: int = 0
     #: cover groups whose reply carried the ``subscribed`` flag (the root
@@ -255,18 +237,17 @@ class Frontend:
                     else None
                 ),
             )
-        #: canonical group key -> qids waiting on another shard's probe.
-        self._shared_waits: dict[str, list[str]] = {}
         self._qid_counter = itertools.count(1)
         self._share_counter = itertools.count(1)
         self._pending_queries: dict[str, _PendingQuery] = {}
-        #: probe tag -> in-flight probe
-        self._probes: dict[str, _ProbeInFlight] = {}
-        #: canonical group key -> tag of the joinable probe (dedup index)
-        self._probe_by_group: dict[str, str] = {}
-        #: (query canonical, cover) -> in-flight shared sub-query
-        self._shares: dict[tuple, _SharedSubQuery] = {}
-        self._share_by_id: dict[str, _SharedSubQuery] = {}
+        #: size probes by canonical group key and probe tag; waiters are
+        #: qids.  ``data`` is the probed tree root, or None for a wait on
+        #: another shard's probe through the shared tier.  Joinable only
+        #: within the synchronous burst that opened them.
+        self.probes = SingleFlight(same_burst)
+        #: shared sub-queries by share key and share id; waiters are the
+        #: subscribing qids, ``data`` is the :class:`_SharedSubQuery`.
+        self.shares = SingleFlight(same_burst)
         self.results: dict[str, QueryResult] = {}
         #: completion signal: called with the qid of every query that
         #: finishes (stored or delivered to its callback).  The cluster's
@@ -418,47 +399,36 @@ class Frontend:
     def _join_probe(self, qid: str, group: Predicate) -> None:
         key = group.canonical()
         seq = self.network.burst_seq
-        if self.config.dedupe_probes:
-            tag = self._probe_by_group.get(key)
-            if tag is not None:
-                probe = self._probes[tag]
-                # Join only a probe issued in this same synchronous burst
-                # (no engine events processed since).  An older entry may
-                # be slow or lost (crashed root); joining it would let one
-                # dropped SIZE_RESPONSE poison this group key forever.
-                # The older probe stays in `_probes` so a merely-slow
-                # answer still resolves its own waiters.
-                if probe.created_seq == seq:
-                    probe.waiters.append(qid)
-                    return
-            # Cluster-wide dedup: if another shard's wire probe for this
-            # group is in flight in this same burst, subscribe to its
-            # answer through the shared tier instead of duplicating it
-            # (one probe per group cluster-wide, not per shard).
-            if self._shared is not None and self._shared.join_probe(
-                key, self.shard_id, seq, self._on_shared_size
-            ):
-                self._shared_waits.setdefault(key, []).append(qid)
-                self.network.stats.shared_probe_joins += 1
-                return
+        # Join only a probe opened in this same synchronous burst (no
+        # engine events processed since).  An older one may be slow or
+        # lost (crashed root); joining it would let one dropped
+        # SIZE_RESPONSE poison this group key forever.
+        if self.config.dedupe_probes and self.probes.join(key, qid, seq) is not None:
+            return
         tag = f"pr{self.node_id}-{next(self._share_counter)}"
+        # Cluster-wide dedup: if another shard's wire probe for this group
+        # is in flight in this same burst, wait on its answer through the
+        # shared tier instead of duplicating it (one probe per group
+        # cluster-wide, not per shard).
+        if (
+            self.config.dedupe_probes
+            and self._shared is not None
+            and self._shared.join_probe(
+                key, self.shard_id, seq, partial(self._on_shared_size, tag)
+            )
+        ):
+            self.probes.open(key, tag, qid, seq)
+            self.network.stats.shared_probe_joins += 1
+            return
         root = self.overlay.root(
             self.overlay.space.hash_name(group_attribute(group))
         )
-        self._probes[tag] = _ProbeInFlight(
-            key=key,
-            tag=tag,
-            initiator=qid,
-            waiters=[qid],
-            root=root,
-            created_seq=seq,
-        )
-        if self.config.dedupe_probes:
-            self._probe_by_group[key] = tag
-            if self._shared is not None:
-                self._shared.open_probe(
-                    key, self.shard_id, tag, seq, self.network.now
-                )
+        # Superseded rule: a newer probe for the key becomes the joinable
+        # one, but an older probe stays open under its tag, so a
+        # merely-slow answer still resolves its own waiters.
+        self.probes.open(key, tag, qid, seq, root)
+        if self.config.dedupe_probes and self._shared is not None:
+            self._shared.open_probe(key, self.shard_id, tag, seq)
         self.network.send(
             self.node_id,
             root,
@@ -468,59 +438,57 @@ class Frontend:
 
     def _handle_size_response(self, message: Message) -> None:
         payload = message.payload
-        key = payload["pred_key"]
-        cost = payload["cost"]
-        now = self.network.now
-        probe = self._probes.pop(payload["probe_id"], None)
-        # Exactly one write path for the answer: resolving a registered
-        # shared probe force-publishes it to the tier (the prober is
-        # that fill's designated writer) and releases every shard that
-        # subscribed instead of sending its own probe; anything else --
-        # unsolicited/duplicate answers, superseded probes, private
-        # caches -- goes through the plain (single-writer-checked) put.
-        released = None
-        if probe is not None and self._shared is not None:
-            released = self._shared.resolve_probe(
-                probe.key, probe.tag, cost, now
-            )
-        if released is None:
-            self.size_cache.put(key, cost, now)
-        else:
-            for callback in released:
-                callback(key, cost, now)
-        if probe is None:
-            return  # unsolicited/duplicate answer: cached above, move on
-        if self._probe_by_group.get(probe.key) == probe.tag:
-            del self._probe_by_group[probe.key]
-        probe_messages = self.network.stats.pop_tag(probe.tag)
-        for qid in probe.waiters:
-            pending = self._pending_queries.get(qid)
-            if pending is None:
-                continue
-            pending.costs[key] = cost
-            pending.needed.discard(key)
-            if qid == probe.initiator:
-                pending.own_messages += probe_messages
-            if not pending.needed:
-                pending.probe_latency = now - pending.probe_started
-                self._finish_planning(pending)
+        flight = self.probes.pop(payload["probe_id"])
+        if flight is not None:
+            self._resolve_probe(flight, payload["cost"])
+        else:  # unsolicited/duplicate: a plain (single-writer-checked) put
+            self.size_cache.put(payload["pred_key"], payload["cost"], self.network.now)
 
     def _on_shared_size(
-        self, key: str, cost: Optional[float], now: float
+        self, tag: str, key: str, cost: Optional[float], now: float
     ) -> None:
-        """Another shard's probe for ``key`` resolved (shared-tier
-        publish fan-out): resume every query of ours that was waiting on
-        it.  ``cost`` is None when the probe resolved NULL (the probed
-        root departed); the waiting queries then fall back to default
-        costs, exactly as if our own probe had been resolved by churn.
-        """
-        for qid in self._shared_waits.pop(key, ()):
+        """Another shard's probe we waited on resolved through the shared
+        tier (``cost`` None: it resolved NULL)."""
+        flight = self.probes.pop(tag)
+        if flight is not None:  # None: already failed with its link
+            self._resolve_probe(flight, cost)
+
+    def _resolve_probe(self, flight: Flight, cost: Optional[float]) -> None:
+        """Resume every query waiting on a popped probe flight: our
+        probe's answer, a shared-tier release of another shard's probe,
+        or the NULL (``cost`` None) of a departed root or failed link,
+        after which cover choice falls back to default costs."""
+        key = flight.key
+        now = self.network.now
+        probe_messages = 0
+        if flight.data is not None:  # our own wire probe
+            # Exactly one write path for the answer: resolving a
+            # registered shared probe force-publishes it to the tier (the
+            # prober is that fill's designated writer) and releases every
+            # shard waiting on it; anything else -- superseded probes,
+            # private caches -- goes through the plain
+            # (single-writer-checked) put.
+            released = None
+            if self._shared is not None:
+                released = self._shared.resolve_probe(
+                    key, flight.flight_id, cost, now
+                )
+            if released is not None:
+                for callback in released:
+                    callback(key, cost, now)
+            elif cost is not None:
+                self.size_cache.put(key, cost, now)
+            probe_messages = self.network.stats.pop_tag(flight.flight_id)
+        initiator = flight.waiters[0]
+        for qid in flight.waiters:
             pending = self._pending_queries.get(qid)
             if pending is None:
                 continue
             if cost is not None:
                 pending.costs[key] = cost
             pending.needed.discard(key)
+            if qid == initiator:
+                pending.own_messages += probe_messages
             if not pending.needed:
                 pending.probe_latency = now - pending.probe_started
                 self._finish_planning(pending)
@@ -548,31 +516,25 @@ class Frontend:
             tuple(pending.cover),
         )
         seq = self.network.burst_seq
-        if self.config.share_subqueries:
-            share = self._shares.get(share_key)
-            # Share only with an identical query dispatched in this same
-            # synchronous burst (no engine events processed since).  An
-            # older share may be stuck on a lost response; a new dispatch
-            # below simply replaces it in the share index (the old one
-            # still completes for its own subscribers if its answer is
-            # merely slow).
-            if share is not None and share.created_seq == seq:
-                share.subscribers.append(pending.qid)
-                pending.shared = True
-                return
+        # Share only with an identical query dispatched in this same
+        # synchronous burst (no engine events processed since).  An older
+        # share may be stuck on a lost response.
+        if (
+            self.config.share_subqueries
+            and self.shares.join(share_key, pending.qid, seq) is not None
+        ):
+            pending.shared = True
+            return
         share_id = f"sh{self.node_id}-{next(self._share_counter)}"
         share = _SharedSubQuery(
-            share_id=share_id,
-            share_key=share_key,
             query=pending.query,
             cover=list(pending.cover),
             waiting=set(pending.cover),
-            subscribers=[pending.qid],
-            created_seq=seq,
         )
-        if self.config.share_subqueries:
-            self._shares[share_key] = share
-        self._share_by_id[share_id] = share
+        # Superseded rule: this dispatch becomes the joinable share for
+        # the key; an older one still completes for its own subscribers
+        # if its answer is merely slow.
+        self.shares.open(share_key, share_id, pending.qid, seq, share)
         for group in cover_groups:
             root = self.overlay.root(
                 self.overlay.space.hash_name(group_attribute(group))
@@ -601,9 +563,10 @@ class Frontend:
         if self.config.piggyback_sizes and "cost" in payload:
             # Every answered sub-query refreshes the group-size cache.
             self.size_cache.put(key, payload["cost"], now)
-        share = self._share_by_id.get(payload["qid"])
-        if share is None or key not in share.waiting:
+        flight = self.shares.get(payload["qid"])
+        if flight is None or key not in flight.data.waiting:
             return
+        share: _SharedSubQuery = flight.data
         share.waiting.discard(key)
         # Root-side optimization metadata (see repro.core.result_cache):
         # surfaced per query so consumers can see how their answer was
@@ -626,21 +589,21 @@ class Frontend:
         share.contributors += payload["contributors"]
         if share.waiting:
             return
-        self._fan_out(share)
+        self.shares.pop(flight.flight_id)
+        self._fan_out(flight)
 
-    def _fan_out(self, share: _SharedSubQuery) -> None:
-        """Deliver a completed shared sub-query to every subscriber."""
-        del self._share_by_id[share.share_id]
-        if self._shares.get(share.share_key) is share:
-            del self._shares[share.share_key]
+    def _fan_out(self, flight: Flight) -> None:
+        """Deliver a completed (popped) shared sub-query to every
+        subscriber."""
+        share: _SharedSubQuery = flight.data
         now = self.network.now
-        shared_messages = self.network.stats.pop_tag(share.share_id)
+        shared_messages = self.network.stats.pop_tag(flight.flight_id)
         value = share.query.function.finalize(share.partial)
         root_cached = (
             bool(share.cover) and share.cached_groups == len(share.cover)
         )
         root_shared = share.subscribed_groups > 0
-        for index, qid in enumerate(share.subscribers):
+        for index, qid in enumerate(flight.waiters):
             pending = self._pending_queries.pop(qid, None)
             if pending is None:
                 continue
@@ -717,12 +680,7 @@ class Frontend:
     def is_idle(self) -> bool:
         """True when no queries, probes, or shared sub-queries are
         outstanding."""
-        return (
-            not self._pending_queries
-            and not self._probes
-            and not self._share_by_id
-            and not self._shared_waits
-        )
+        return not (self._pending_queries or self.probes or self.shares)
 
     # ------------------------------------------------------------------
     # reconfiguration (Section 7)
@@ -753,43 +711,20 @@ class Frontend:
         self.standing.on_membership_change(joined, left)
         if not left:
             return
-        for probe in [
-            p for p in self._probes.values() if p.root in left
-        ]:
-            del self._probes[probe.tag]
-            if self._probe_by_group.get(probe.key) == probe.tag:
-                del self._probe_by_group[probe.key]
-            if self._shared is not None:
-                # Release cross-shard subscribers with a NULL resolution
-                # (mirrors the local waiters below: no cost learned).
-                for callback in (
-                    self._shared.resolve_probe(probe.key, probe.tag, None, now)
-                    or ()
-                ):
-                    callback(probe.key, None, now)
-            probe_messages = self.network.stats.pop_tag(probe.tag)
-            for qid in probe.waiters:
-                pending = self._pending_queries.get(qid)
-                if pending is None:
-                    continue
-                # No cost learned: choose_cover falls back to the default.
-                pending.needed.discard(probe.key)
-                if qid == probe.initiator:
-                    pending.own_messages += probe_messages
-                if not pending.needed:
-                    pending.probe_latency = now - pending.probe_started
-                    self._finish_planning(pending)
-        for share in list(self._share_by_id.values()):
-            gone = {
-                key
-                for key in share.waiting
-                if share.targets.get(key) in left
+        for flight in self.probes.fail_all(lambda f: f.data in left):
+            self._resolve_probe(flight, None)
+
+        def settle_departed(flight: Flight) -> bool:
+            # Groups whose root left count as answered (NULL); True once
+            # the share waits on nothing else.
+            share = flight.data
+            share.waiting -= {
+                key for key in share.waiting if share.targets.get(key) in left
             }
-            if not gone:
-                continue
-            share.waiting -= gone
-            if not share.waiting:
-                self._fan_out(share)
+            return not share.waiting
+
+        for flight in self.shares.fail_all(settle_departed):
+            self._fan_out(flight)
 
     def on_link_failure(
         self,
@@ -811,38 +746,12 @@ class Frontend:
         those tags in turn — the cascade terminates with every affected
         query completed and :attr:`QueryResult.failed` set.
         """
-        now = self.network.now
-        for probe in [
-            p
-            for p in self._probes.values()
-            if tags is None or p.tag in tags
-        ]:
-            del self._probes[probe.tag]
-            if self._probe_by_group.get(probe.key) == probe.tag:
-                del self._probe_by_group[probe.key]
-            if self._shared is not None:
-                for callback in (
-                    self._shared.resolve_probe(probe.key, probe.tag, None, now)
-                    or ()
-                ):
-                    callback(probe.key, None, now)
-            probe_messages = self.network.stats.pop_tag(probe.tag)
-            for qid in probe.waiters:
-                pending = self._pending_queries.get(qid)
-                if pending is None:
-                    continue
-                pending.needed.discard(probe.key)
-                if qid == probe.initiator:
-                    pending.own_messages += probe_messages
-                if not pending.needed:
-                    pending.probe_latency = now - pending.probe_started
-                    self._finish_planning(pending)
-        for share in list(self._share_by_id.values()):
-            if tags is not None and share.share_id not in tags:
-                continue
-            if share.share_id not in self._share_by_id:
-                continue  # fanned out by a cascading failure above
-            share.failed = True
-            share.failure = reason
-            share.waiting.clear()
-            self._fan_out(share)
+        def lost(flight: Flight) -> bool:
+            return tags is None or flight.flight_id in tags
+
+        for flight in self.probes.fail_all(lost):
+            self._resolve_probe(flight, None)
+        for flight in self.shares.fail_all(lost):
+            flight.data.failed = True
+            flight.data.failure = reason
+            self._fan_out(flight)

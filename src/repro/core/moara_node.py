@@ -51,11 +51,8 @@ from repro.core.attributes import AttributeStore
 from repro.core.gc import GCPolicy, NoGC
 from repro.core.predicates import Predicate, SimplePredicate, TruePredicate
 from repro.core.query import Query, STAR_ATTRIBUTE
-from repro.core.result_cache import (
-    InflightTable,
-    ResultCache,
-    execution_key,
-)
+from repro.core.result_cache import ResultCache, execution_key
+from repro.core.single_flight import SingleFlight, always_joinable
 from repro.core.tree_state import PredicateTreeState
 from repro.pastry.overlay import Overlay
 from repro.sim.engine import EventHandle
@@ -256,8 +253,11 @@ class MoaraNode:
             ),
             eviction=self.config.result_cache_eviction,
         )
-        #: in-flight executions rooted here, joinable by identical requests.
-        self.inflight = InflightTable()
+        #: in-flight executions rooted here, by execution key (which is
+        #: also the flight id, so there are no superseded flights); an
+        #: identical request joins until the execution finalizes.
+        #: Waiters are ``(reply_to, qid)`` pairs.
+        self.inflight = SingleFlight(always_joinable)
         # Deferred import: repro.standing.agent imports this module for
         # group_attribute, so binding it at module scope would cycle.
         from repro.standing.agent import StandingAgent
@@ -541,7 +541,7 @@ class MoaraNode:
                 return
             stats.root_cache_misses += 1
         if exec_key is not None and self._share_executions:
-            if self.inflight.subscribe(exec_key, message.src, qid):
+            if self.inflight.join(exec_key, (message.src, qid), None) is not None:
                 stats.root_subscriptions += 1
                 return
         # The root stamps each query with a sequence number (Section 4);
@@ -745,7 +745,7 @@ class MoaraNode:
         )
         self._pending[key] = pending
         if exec_key is not None and self._share_executions:
-            self.inflight.open(exec_key)
+            self.inflight.open(exec_key, exec_key)
         # One shared payload for the whole fan-out (receivers are
         # read-only); sorted for deterministic send order.
         self.network.send_many(
@@ -859,7 +859,8 @@ class MoaraNode:
         # while the tree walk was in flight.  This also covers executions
         # resolved early by a timeout or by churn (Section 7): subscribers
         # get the partial (possibly NULL) answer, never a hang.
-        for reply_to, qid in self.inflight.close(pending.exec_key):
+        flight = self.inflight.pop(pending.exec_key)
+        for reply_to, qid in flight.waiters if flight is not None else ():
             self._send_reply(
                 state,
                 qid,

@@ -45,8 +45,8 @@ publish latency is not modelled, the probe round-trips are).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.core.adaptive_ttl import AdaptiveTTL
 from repro.core.planner import (
@@ -57,6 +57,7 @@ from repro.core.planner import (
     plan_predicate,
 )
 from repro.core.predicates import Predicate
+from repro.core.single_flight import Flight, SingleFlight, same_burst
 
 if TYPE_CHECKING:  # circular at runtime only for type hints
     from repro.core.shard_router import FrontendShardRouter
@@ -262,26 +263,6 @@ class GroupSizeCache:
 SharedSizeCallback = Callable[[str, Optional[float], float], None]
 
 
-@dataclass
-class _SharedProbe:
-    """One cluster-wide in-flight size probe for one group."""
-
-    key: str
-    shard: int  # the shard whose wire probe is in flight (the writer)
-    tag: str  # that probe's wire id (guards against stale resolution)
-    #: engine event count at creation; cross-shard joins are allowed only
-    #: within the same synchronous burst, mirroring the front-end's local
-    #: probe-dedup rule (an older probe may be stuck on a lost response).
-    created_seq: int
-    #: transport clock at creation (the deployed cache service's
-    #: time-based joinability rule reads this; 0.0 under the simulator,
-    #: where ``created_seq`` governs instead).
-    opened_at: float = 0.0
-    waiters: list[tuple[int, SharedSizeCallback]] = field(
-        default_factory=list
-    )
-
-
 class SharedGroupSizeCache(GroupSizeCache):
     """The cluster-wide group-size tier every front-end shard reads.
 
@@ -292,11 +273,15 @@ class SharedGroupSizeCache(GroupSizeCache):
       calling shard and keep per-shard :class:`CacheStats` next to the
       cluster-wide ones;
     * **one probe per group cluster-wide** -- the probe registry
-      (:meth:`open_probe` / :meth:`join_probe` / :meth:`resolve_probe`)
-      lets a shard that misses subscribe to another shard's in-flight
-      probe; the resolving shard publishes the answer once and every
-      waiter's callback fires, so adding shards does not multiply probe
-      traffic;
+      (:meth:`open_probe` / :meth:`join_probe` / :meth:`resolve_probe`,
+      over a :class:`~repro.core.single_flight.SingleFlight` table with
+      one flight per group) lets a shard that misses subscribe to
+      another shard's in-flight probe; the resolving shard publishes the
+      answer once and every waiter's callback fires, so adding shards
+      does not multiply probe traffic.  How long a probe stays joinable
+      is the ``joinable`` predicate the owner passes in: the same
+      synchronous burst by default, a wall-clock window in the cache
+      service (:mod:`repro.serve.cache_service`);
     * **single writer per group** -- a piggybacked estimate only updates
       a *live* entry when it comes from the group's consistent-hash
       owner shard (:meth:`FrontendShardRouter.owner`); anyone may fill a
@@ -311,13 +296,18 @@ class SharedGroupSizeCache(GroupSizeCache):
         maxsize: int = 4096,
         ttl_policy: Optional[AdaptiveTTL] = None,
         on_ttl: Optional[Callable[[float], None]] = None,
+        joinable: Callable[[Flight, Any], bool] = same_burst,
     ) -> None:
         super().__init__(
             ttl=ttl, maxsize=maxsize, ttl_policy=ttl_policy, on_ttl=on_ttl
         )
         self.router = router
         self.shard_stats: dict[int, CacheStats] = {}
-        self._probes: dict[str, _SharedProbe] = {}
+        #: one in-flight wire probe per group key (flight id = key);
+        #: ``data`` is the prober's ``(shard, tag)``, waiters are
+        #: callbacks.  ``joinable`` decides freshness: same burst in
+        #: process, a wall-clock window in the cache service.
+        self.probes = SingleFlight(joinable)
         #: piggybacked writes rejected by the single-writer rule.
         self.single_writer_drops = 0
         #: cross-shard probe subscriptions (deduplicated wire probes).
@@ -379,57 +369,38 @@ class SharedGroupSizeCache(GroupSizeCache):
     # cluster-wide probe registry
     # ------------------------------------------------------------------
 
-    def open_probe(
-        self, key: str, shard: int, tag: str, seq: int, now: float = 0.0
-    ) -> None:
-        """Register a wire probe this shard just sent for ``key``.
-
-        A newer probe replaces a stale registry entry (the old prober's
-        resolution is ignored via the tag check) -- the same
-        replace-on-new-burst rule the front-end uses locally.  Waiters
-        parked on the replaced probe are re-homed onto the new one: any
-        answer for the group serves them, and dropping them would leave
-        their queries waiting on a resolution that can never match.
-        """
-        old = self._probes.get(key)
-        self._probes[key] = _SharedProbe(
-            key=key,
-            shard=shard,
-            tag=tag,
-            created_seq=seq,
-            opened_at=now,
-            waiters=old.waiters if old is not None else [],
-        )
-
-    def _joinable(self, probe: _SharedProbe, seq: int) -> bool:
-        """Is this registered probe fresh enough to subscribe to?
-
-        Under the simulator "fresh" means *same synchronous burst* (no
-        engine events processed since it was opened).  The deployed cache
-        service (:mod:`repro.serve.cache_service`) overrides this with a
-        wall-clock window, since its clients' event counters are not
-        comparable; everything else about the registry is shared code.
-        """
-        return probe.created_seq == seq
+    def open_probe(self, key: str, shard: int, tag: str, seq: Any) -> None:
+        """Register a wire probe this shard just sent for ``key``;
+        ``seq`` is the join predicate's token (burst seq or service
+        clock)."""
+        # Superseded rule: a newer probe replaces the registry entry, and
+        # the old prober's late answer resolves nothing (tag check in
+        # resolve_probe).  Waiters parked on the replaced probe are
+        # re-homed onto the new one: any answer for the group serves
+        # them, and dropping them would strand their queries.
+        stale = self.probes.pop(key)
+        flight = self.probes.open(key, key, None, seq, (shard, tag))
+        if stale is not None:
+            flight.waiters = stale.waiters
 
     def join_probe(
         self,
         key: str,
         shard: int,
-        seq: int,
+        seq: Any,
         callback: SharedSizeCallback,
     ) -> bool:
         """Subscribe to another shard's in-flight probe for ``key``.
 
         Returns True (and registers the callback) iff a probe from a
-        *different* shard is in flight and still joinable
-        (:meth:`_joinable`); the caller then sends no wire probe of its
-        own.
+        *different* shard is in flight and still joinable; the caller
+        then sends no wire probe of its own.
         """
-        probe = self._probes.get(key)
-        if probe is None or probe.shard == shard or not self._joinable(probe, seq):
+        flight = self.probes.get(key)
+        if flight is None or flight.data[0] == shard:
+            return False  # never join our own probe (local dedup does)
+        if self.probes.join(key, callback, seq) is None:
             return False
-        probe.waiters.append((shard, callback))
         self.probe_joins += 1
         return True
 
@@ -447,14 +418,14 @@ class SharedGroupSizeCache(GroupSizeCache):
         for the caller to invoke; a NULL resolution (the probed root
         departed) publishes nothing but still releases every waiter.
         """
-        probe = self._probes.get(key)
-        if probe is None or probe.tag != tag:
+        flight = self.probes.get(key)
+        if flight is None or flight.data[1] != tag:
             return None
-        del self._probes[key]
+        self.probes.pop(key)
         if cost is not None:
             GroupSizeCache.put(self, key, cost, now)
             self.publishes += 1
-        return [callback for _, callback in probe.waiters]
+        return flight.waiters
 
     def on_membership_change(self, now: float) -> None:
         """Overlay churn: raise the global churn rate (shorter TTLs)."""

@@ -1,4 +1,4 @@
-"""Root-side result cache and in-flight execution table.
+"""Root-side result cache and execution sharing.
 
 PR 1 made a *single* front-end cheap on repeated workloads (plan cache,
 group-size cache, shared sub-queries within one burst), but identical
@@ -8,12 +8,13 @@ triggered a full tree walk each.  This module gives every
 absorb that duplicated work, the same server-side sharing move that
 Enmeshed Queries makes for overlapping continuous queries:
 
-* :class:`InflightTable` -- when a sub-query arrives while an identical
+* execution sharing -- when a sub-query arrives while an identical
   execution is already walking the tree, the late arrival (from any
-  front-end) is *subscribed* to the pending execution and answered from
-  its single result: one tree walk, N answers.  Subscription is
-  staleness-free (every subscriber sees the same fresh execution), so it
-  is enabled by default.
+  front-end) joins the pending execution's flight in the root's
+  :class:`~repro.core.single_flight.SingleFlight` table
+  (``MoaraNode.inflight``) and is answered from its single result: one
+  tree walk, N answers.  Joining is staleness-free (every subscriber
+  sees the same fresh execution), so it is enabled by default.
 * :class:`ResultCache` -- a TTL'd, LRU-bounded map from execution key to
   the finished partial aggregate, so repeated identical sub-queries
   within the TTL are answered with *zero* tree messages.  A cached
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.adaptive_ttl import AdaptiveTTL
@@ -56,7 +57,6 @@ from repro.core.plan_cache import CacheStats
 
 __all__ = [
     "CachedResult",
-    "InflightTable",
     "ResultCache",
     "ResultCacheStats",
     "execution_key",
@@ -316,62 +316,3 @@ class ResultCache:
             self._hits.pop(key, None)
         self.stats.expirations += len(stale)
         return len(stale)
-
-
-@dataclass
-class _InflightExecution:
-    """Late subscribers riding one pending (query, group) execution."""
-
-    key: ExecutionKey
-    #: (reply_to node id, query id) per late arrival, in arrival order.
-    subscribers: list[tuple[int, str]] = field(default_factory=list)
-
-
-class InflightTable:
-    """Executions currently walking the tree from this root, by key.
-
-    The owning node ``open()``s an entry when it dispatches a sub-query
-    down the tree and ``close()``s it when the aggregation finalizes
-    (normally, by timeout, or by failure resolution); identical requests
-    arriving in between ``subscribe()`` and are answered from the single
-    result.  Closing always returns the subscriber list, so a resolution
-    forced by churn still fans out (subscribers get the partial -- or
-    NULL -- answer, never a hang).
-    """
-
-    def __init__(self) -> None:
-        self._executions: dict[ExecutionKey, _InflightExecution] = {}
-        #: total late arrivals answered from a pending execution.
-        self.subscriptions = 0
-
-    def __len__(self) -> int:
-        return len(self._executions)
-
-    def __contains__(self, key: ExecutionKey) -> bool:
-        return key in self._executions
-
-    def open(self, key: ExecutionKey) -> None:
-        """Register a newly dispatched execution (idempotent)."""
-        if key not in self._executions:
-            self._executions[key] = _InflightExecution(key=key)
-
-    def subscribe(self, key: ExecutionKey, reply_to: int, qid: str) -> bool:
-        """Attach a late arrival to a pending execution.
-
-        Returns True (and records the subscriber) iff an identical
-        execution is in flight; the caller then owes ``(reply_to, qid)``
-        a reply when that execution closes.
-        """
-        execution = self._executions.get(key)
-        if execution is None:
-            return False
-        execution.subscribers.append((reply_to, qid))
-        self.subscriptions += 1
-        return True
-
-    def close(self, key: ExecutionKey) -> list[tuple[int, str]]:
-        """Finish an execution; returns its subscribers (possibly empty)."""
-        execution = self._executions.pop(key, None)
-        if execution is None:
-            return []
-        return execution.subscribers

@@ -34,9 +34,11 @@ Each front-end keeps **two** connections:
 Time: clients' clocks are not comparable, so the service timestamps
 everything (entry TTLs, probe joinability) with **its own** clock.  The
 simulator's same-synchronous-burst joinability rule becomes a wall-clock
-window here (``join_window`` seconds) via the
-:meth:`~repro.core.plan_cache.SharedGroupSizeCache._joinable` hook —
-the registry logic around it is untouched shared code.
+window here: the service builds the tier with a join predicate that
+accepts a probe for ``join_window`` seconds after it opened, and stamps
+every open and join with its clock.  The registry around that predicate
+(a :class:`~repro.core.single_flight.SingleFlight` table) is untouched
+shared code.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.core.plan_cache import (
     CacheStats,
     ShardedSizeCache,
     SharedGroupSizeCache,
-    _SharedProbe,
 )
 from repro.core.shard_router import FrontendShardRouter
 from repro.serve.protocol import (
@@ -68,25 +69,6 @@ __all__ = ["CacheService", "RemoteSizeTier"]
 #: older than this is presumed stuck and a fresh one is sent instead —
 #: the same bias the simulator's same-burst rule encodes.
 DEFAULT_JOIN_WINDOW = 0.25
-
-
-class _ServiceTier(SharedGroupSizeCache):
-    """The shared tier with service-time probe joinability.
-
-    Everything — the entry store, per-shard stats, the single-writer
-    rule, the probe registry — is inherited.  Only "is this in-flight
-    probe fresh enough to subscribe to?" changes meaning: remote shards
-    have no common event counter, so freshness is a wall-clock window on
-    the service's clock.
-    """
-
-    def __init__(self, *args: Any, join_window: float, clock: Callable[[], float], **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.join_window = join_window
-        self._clock = clock
-
-    def _joinable(self, probe: _SharedProbe, seq: int) -> bool:
-        return (self._clock() - probe.opened_at) <= self.join_window
 
 
 class CacheService:
@@ -119,14 +101,17 @@ class CacheService:
             if num_shards
             else FrontendShardRouter.from_members(set())
         )
-        self.tier = _ServiceTier(
+        self.join_window = join_window
+        self.tier = SharedGroupSizeCache(
             router=router,
             ttl=ttl,
             ttl_policy=AdaptiveTTL.if_enabled(
                 adaptive, ttl_min, ttl, churn_window
             ),
-            join_window=join_window,
-            clock=self.now,
+            # Remote shards share no event counter: a probe stays
+            # joinable for join_window seconds of this service's clock
+            # (opens and joins are stamped with self.now()).
+            joinable=lambda flight, now: now - flight.token <= join_window,
         )
         self.overlay_addr = overlay_addr
         self._server: Optional[asyncio.base_events.Server] = None
@@ -203,11 +188,6 @@ class CacheService:
             if not writer.is_closing():
                 writer.write(frame)
 
-    def _release(self, callbacks: list, key: str, cost: Optional[float]) -> None:
-        now = self.now()
-        for callback in callbacks:
-            callback(key, cost, now)
-
     # -- connections ---------------------------------------------------
 
     async def _serve_connection(
@@ -230,7 +210,7 @@ class CacheService:
                     {
                         "kind": "welcome",
                         "ttl": self.tier.ttl,
-                        "join_window": self.tier.join_window,
+                        "join_window": self.join_window,
                     }
                 )
             )
@@ -278,10 +258,8 @@ class CacheService:
                 )
                 return {"kind": "ok", "applied": applied}
             if kind == "open":
-                # seq is meaningless across processes; joinability is
-                # wall-clock (opened_at=now) on this service's clock.
                 tier.open_probe(
-                    frame["key"], frame["shard"], frame["tag"], 0, now
+                    frame["key"], frame["shard"], frame["tag"], now
                 )
                 return {"kind": "ok"}
             if kind == "join":
@@ -289,7 +267,7 @@ class CacheService:
                 joined = tier.join_probe(
                     frame["key"],
                     shard,
-                    0,
+                    now,
                     lambda key, cost, _now, s=shard: self._push_resolved(
                         s, key, cost
                     ),
@@ -299,8 +277,8 @@ class CacheService:
                 released = tier.resolve_probe(
                     frame["key"], frame["tag"], frame["cost"], now
                 )
-                if released is not None:
-                    self._release(released, frame["key"], frame["cost"])
+                for callback in released or ():
+                    callback(frame["key"], frame["cost"], now)
                 return {"kind": "ok", "resolved": released is not None}
             if kind == "churn":
                 tier.on_membership_change(now)
@@ -573,9 +551,7 @@ class RemoteSizeTier:
         )
         return bool(reply and reply.get("applied"))
 
-    def open_probe(
-        self, key: str, shard: int, tag: str, seq: int, now: float = 0.0
-    ) -> None:
+    def open_probe(self, key: str, shard: int, tag: str, seq: int) -> None:
         self._request(
             {"kind": "open", "key": key, "shard": shard, "tag": tag}
         )

@@ -25,7 +25,7 @@ from repro.campaigns import (
     run_campaign,
 )
 from repro.core.plan_cache import SharedGroupSizeCache
-from repro.core.result_cache import InflightTable
+from repro.core.single_flight import SingleFlight
 
 pytestmark = pytest.mark.system
 
@@ -150,11 +150,10 @@ def test_campaign_catches_wrong_answers() -> None:
 
 
 def test_campaign_catches_leaked_inflight_entries(monkeypatch) -> None:
-    def leaky_close(self, key):
-        execution = self._executions.get(key)  # never popped: the leak
-        return list(execution.subscribers) if execution is not None else []
+    def leaky_pop(self, flight_id):
+        return self.get(flight_id)  # never removed: the leak
 
-    monkeypatch.setattr(InflightTable, "close", leaky_close)
+    monkeypatch.setattr(SingleFlight, "pop", leaky_pop)
     # Distinct query texts throughout: a repeat of a "closed" query would
     # subscribe to the leaked entry and hang, which is not the invariant
     # under test here.

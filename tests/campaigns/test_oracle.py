@@ -171,13 +171,28 @@ def test_clean_phase_boundary_has_no_leaks(plane: SimPlane) -> None:
 def test_leaked_execution_is_flagged(plane: SimPlane) -> None:
     checker = InvariantChecker(OracleSpec(), plane)
     node = next(iter(plane.cluster.nodes.values()))
-    node.inflight.open(("leaked", "execution"))
+    key = ("leaked", "execution")
+    node.inflight.open(key, key)
     try:
         checker.check_phase_end("p")
     finally:
-        node.inflight.close(("leaked", "execution"))
+        node.inflight.pop(key)
     assert [v["invariant"] for v in checker.violations] == ["inflight"]
     assert checker.violations[0]["leaked"] == {"node_executions": 1}
+
+
+def test_leaked_share_is_counted_once(plane: SimPlane) -> None:
+    """One leaked shared sub-query is one leaked flight, though it is
+    indexed by both its share key and its share id."""
+    checker = InvariantChecker(OracleSpec(), plane)
+    shares = plane.frontends[0].shares
+    shares.open(("leaked", "share"), "sh-leaked", "q-leaked", token=0)
+    try:
+        checker.check_phase_end("p")
+    finally:
+        shares.pop("sh-leaked")
+    assert [v["invariant"] for v in checker.violations] == ["inflight"]
+    assert checker.violations[0]["leaked"] == {"frontend_shares": 1}
 
 
 def test_summary_counts_by_invariant(plane: SimPlane) -> None:

@@ -1,4 +1,4 @@
-"""Unit tests for the root-side ResultCache and InflightTable."""
+"""Unit tests for the root-side ResultCache."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.moara_node import MoaraConfig
 from repro.core.parser import parse_query
-from repro.core.result_cache import (
-    InflightTable,
-    ResultCache,
-    execution_key,
-)
+from repro.core.result_cache import ResultCache, execution_key
 
 
 def _key(n: int = 0) -> tuple:
@@ -191,31 +187,3 @@ class TestResultCache:
         cache.stats.reset()
         assert cache.stats.invalidations == 0
         assert cache.stats.lookups == 0
-
-
-class TestInflightTable:
-    def test_subscribe_requires_open_execution(self) -> None:
-        table = InflightTable()
-        assert not table.subscribe(_key(), 5, "q1")
-        table.open(_key())
-        assert table.subscribe(_key(), 5, "q1")
-        assert table.subscriptions == 1
-
-    def test_close_returns_subscribers_in_order(self) -> None:
-        table = InflightTable()
-        table.open(_key())
-        table.subscribe(_key(), 5, "q1")
-        table.subscribe(_key(), 6, "q2")
-        assert table.close(_key()) == [(5, "q1"), (6, "q2")]
-        assert _key() not in table
-        assert len(table) == 0
-
-    def test_close_unknown_key_is_empty(self) -> None:
-        assert InflightTable().close(_key()) == []
-
-    def test_open_is_idempotent(self) -> None:
-        table = InflightTable()
-        table.open(_key())
-        table.subscribe(_key(), 5, "q1")
-        table.open(_key())
-        assert table.close(_key()) == [(5, "q1")]

@@ -205,6 +205,27 @@ def test_null_resolution_releases_cross_shard_waiters() -> None:
     assert all(fe.is_idle() for fe in c.frontends)
 
 
+def test_link_failure_releases_cross_shard_waiters() -> None:
+    """A prober whose wire probe dies with its link releases the shards
+    waiting on it through the tier (NULL), and every query completes."""
+    c = _cluster()
+    qid_a = c.frontends[0].submit(TEXT_A)
+    qid_b = c.frontends[1].submit(TEXT_B)  # joins shard 0's g probe
+    assert c.stats.shared_probe_joins == 1
+    assert c.shared_sizes is not None
+    shard, tag = c.shared_sizes.probes.get("(g = true)").data
+    assert shard == 0
+    c.frontends[0].on_link_failure({tag})
+    c.run_until_idle()
+    for fe, qid, text in ((c.frontends[0], qid_a, TEXT_A), (c.frontends[1], qid_b, TEXT_B)):
+        result = fe.results.pop(qid)
+        assert result.value == len(c.members_satisfying(text.split("WHERE ")[1]))
+        # Released NULL: g's cost was never learned by either query.
+        assert "(g = true)" not in result.probed_costs
+    assert all(fe.is_idle() for fe in c.frontends)
+    assert len(c.shared_sizes.probes) == 0
+
+
 def test_overlay_churn_feeds_the_shared_tier_once() -> None:
     c = _cluster()
     assert c.shared_sizes is not None

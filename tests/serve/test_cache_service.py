@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from repro.core import MoaraCluster
+from repro.core.frontend import Frontend
 from repro.serve.cache_service import CacheService, RemoteSizeTier
 from repro.serve.fleet import ServiceThread
 from repro.serve.protocol import SyncRpcChannel
@@ -171,3 +173,50 @@ def test_service_learns_shards_and_rebuilds_router(service) -> None:
     finally:
         rpc5.close()
         rpc9.close()
+
+
+def test_lost_push_link_releases_joined_probes(service) -> None:
+    """A shard parked on another shard's probe through the service is
+    released NULL when its push connection dies: the query completes on
+    default costs instead of waiting for a push that cannot arrive."""
+    cluster = MoaraCluster(num_nodes=32, seed=5, num_frontends=0)
+    cluster.set_group("a", cluster.node_ids[:8])
+    cluster.set_group("g", cluster.node_ids[4:16])
+    text = "SELECT COUNT(*) WHERE a = true AND g = true"
+
+    async def scenario():
+        tier = RemoteSizeTier("127.0.0.1", service.port, shard=1)
+        await tier.start()
+        rpc0 = _rpc(service, 0)
+        try:
+            # Shard 0's wire probe for g is in flight...
+            rpc0.request(
+                {"kind": "open", "key": "(g = true)", "shard": 0, "tag": "pr-0"}
+            )
+            fe = Frontend(
+                cluster.network,
+                cluster.overlay,
+                node_id=-9,
+                shard_id=1,
+                shared_sizes=tier,  # type: ignore[arg-type]
+            )
+            # ...so shard 1 probes a itself and parks on g.
+            qid = fe.submit(text)
+            assert cluster.stats.shared_probe_joins == 1
+            assert list(tier._callbacks) == ["(g = true)"]
+            tier._sub_writer.close()  # the push link dies
+            deadline = time.monotonic() + 3.0
+            while tier._callbacks and time.monotonic() < deadline:
+                await asyncio.sleep(0.02)
+            assert not tier._callbacks
+            cluster.run_until_idle()
+            result = fe.results.pop(qid)
+            assert not result.failed
+            assert result.value == len(cluster.members_satisfying("a = true AND g = true"))
+            assert "(g = true)" not in result.probed_costs
+            assert fe.is_idle()
+        finally:
+            rpc0.close()
+            await tier.close()
+
+    asyncio.run(scenario())
