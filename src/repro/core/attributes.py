@@ -83,10 +83,6 @@ class AttributeStore(Mapping[str, AttributeValue]):
         for listener in self._listeners:
             listener(name, old, new)
 
-    def as_dict(self) -> dict[str, AttributeValue]:
-        """A copy of the current attribute map."""
-        return dict(self._values)
-
     @property
     def data(self) -> dict[str, AttributeValue]:
         """The live underlying dict -- treat as read-only.

@@ -342,15 +342,6 @@ class Frontend:
             self._join_probe(pending.qid, group)
         return qid
 
-    def submit_many(
-        self, queries: list[Union[str, Query]]
-    ) -> list[str]:
-        """Submit a batch of queries in one tick; returns their ids.
-
-        Identical queries in the batch share sub-queries and probes.
-        """
-        return [self.submit(query) for query in queries]
-
     def subscribe(
         self,
         query: Union[str, Query],

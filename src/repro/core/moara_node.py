@@ -361,25 +361,11 @@ class MoaraNode:
     def _is_root(self, state: PredicateTreeState) -> bool:
         return self._dht_parent(state) is None
 
-    def _forward_targets(self, state: PredicateTreeState) -> set[int]:
-        """``state.forward_targets`` memoized per (reports, membership)
-        version pair -- it is recomputed from the child-report map on
-        every query receipt otherwise.  Callers must not mutate the
-        returned set."""
-        children = self._dht_children(state)
-        key = (state.report_version, state.cached_children_version)
-        if state.fwd_targets_key == key:
-            return state.fwd_targets  # type: ignore[return-value]
-        targets = state.forward_targets(children)
-        state.fwd_targets_key = key
-        state.fwd_targets = targets
-        state.fwd_targets_sorted = None
-        return targets
-
     def _subtree_recv(self, state: PredicateTreeState, is_root: bool) -> int:
-        """``state.subtree_recv`` memoized like :meth:`_forward_targets`
-        (it runs on every reply); the key also pins the inputs the value
-        reads directly: ``is_root`` and ``sent_update_set``."""
+        """``state.subtree_recv`` memoized per (reports, receive state,
+        membership) version triple (it runs on every reply); the key also
+        pins the inputs the value reads directly: ``is_root`` and
+        ``sent_update_set``."""
         children = self._dht_children(state)
         key = (
             state.report_version,
@@ -549,19 +535,26 @@ class MoaraNode:
         # keeps the sequence monotonic.
         seq = max(self._seq_counters.get(pred_key, 0), state.last_seen_seq) + 1
         self._seq_counters[pred_key] = seq
-        self._process_query(
-            state, qid, seq, query, message.src, mt.FRONTEND_RESPONSE, exec_key
-        )
+        self._handle_query(message, seq, mt.FRONTEND_RESPONSE, exec_key)
 
-    def _handle_query(self, message: Message) -> None:
-        """Tree-internal QUERY receipt: the single hottest handler.
+    def _handle_query(
+        self,
+        message: Message,
+        seq: Optional[int] = None,
+        reply_mtype: str = mt.QUERY_RESPONSE,
+        exec_key: Optional[tuple] = None,
+    ) -> None:
+        """The one query procedure (Sections 3.2 and 4): forward along the
+        pruned tree, aggregate, reply.
 
-        This is :meth:`_process_query` specialized for the in-tree case
-        (``reply_mtype = QUERY_RESPONSE``, no ``exec_key``) with the
-        per-message memo probes inlined: state lookup, forward-target and
-        sorted-fan-out memos.  Any behavioral change here MUST be mirrored
-        in :meth:`_process_query` (the root/front-end path) -- the two are
-        decision-identical by construction.
+        The dispatch table calls it with the message alone for an in-tree
+        QUERY (the single hottest handler: ``seq`` comes from the payload,
+        the reply is a QUERY_RESPONSE).  The root path
+        (:meth:`_handle_frontend_query`) passes the sequence number it
+        stamped, FRONTEND_RESPONSE and its execution key, under which the
+        finished result is cached and identical requests subscribe.  The
+        per-message memo probes are inlined: state lookup, forward-target
+        and sorted-fan-out memos.
         """
         payload = message.payload
         predicate = payload["predicate"]
@@ -578,117 +571,9 @@ class MoaraNode:
             # Duplicate delivery (stale forwarding state): answer empty so
             # the sender's aggregation completes; our value already flows
             # through the other path.
-            self._send_reply(state, qid, reply_to, mt.QUERY_RESPONSE, None, 0)
-            return
-        self._seen_queries[qkey] = now + self._answered_ttl
-        if (
-            len(self._answered) > self._answered_limit
-            or len(self._seen_queries) > self._seen_limit
-        ):
-            self._prune_caches(now)
-        if self._gc_enabled:
-            self.gc_policy.on_query(self, pred_key, now)
-            for candidate in self.gc_policy.collect(self, now):
-                if candidate != pred_key:
-                    self.garbage_collect(candidate)
-
-        # Sequence accounting: queries missed while pruned count as qn.
-        seq = payload["seq"]
-        missed = seq - state.last_seen_seq - 1
-        if missed < 0:
-            missed = 0
-        if seq > state.last_seen_seq:
-            state.last_seen_seq = seq
-        contributing = self.node_id in state.computed_update_set
-        adaptor = state.adaptor
-        flipped = adaptor.record_query(contributing, missed)
-        if flipped:
-            self._after_adaptation(state, flipped)
-        if adaptor.update:
-            self._maybe_send_status(state)
-
-        # Forward-target memo probe (see _forward_targets), inlined with
-        # the sorted-order memo: the fan-out set AND its deterministic
-        # send order are both stable between report/membership changes.
-        version = self._oindex.version
-        if state.cached_children_version == version:
-            children = state.cached_children
-        else:
-            children = self._dht_children(state)
-        fkey = (state.report_version, state.cached_children_version)
-        if state.fwd_targets_key == fkey:
-            targets = state.fwd_targets
-        else:
-            targets = state.forward_targets(children)
-            state.fwd_targets_key = fkey
-            state.fwd_targets = targets
-            state.fwd_targets_sorted = None
-        live_targets = self.network.filter_alive(targets) if targets else targets
-
-        query = payload["query"]
-        partial, contributed = self._local_contribution(qid, query, now)
-        if not live_targets:
-            self._send_reply(
-                state, qid, reply_to, mt.QUERY_RESPONSE, partial, int(contributed)
-            )
-            return
-        if live_targets is targets:
-            ordered = state.fwd_targets_sorted
-            if ordered is None:
-                ordered = sorted(targets)
-                state.fwd_targets_sorted = ordered
-        else:
-            ordered = sorted(live_targets)
-
-        pending = _PendingQuery(
-            qid=qid,
-            pred_key=pred_key,
-            query=query,
-            reply_to=reply_to,
-            reply_mtype=mt.QUERY_RESPONSE,
-            waiting=set(live_targets),
-            partial=partial,
-            contributors=int(contributed),
-        )
-        self._pending[qkey] = pending
-        # One shared payload for the whole fan-out (receivers are
-        # read-only); sorted for deterministic send order.
-        self.network.send_many(
-            self.node_id,
-            ordered,
-            mt.QUERY,
-            {
-                "qid": qid,
-                "seq": seq,
-                "query": query,
-                "predicate": state.predicate,
-            },
-        )
-        if self._child_timeout is not None:
-            pending.timeout_handle = self._engine.schedule(
-                self._child_timeout, self._on_timeout, qkey
-            )
-
-    def _process_query(
-        self,
-        state: PredicateTreeState,
-        qid: str,
-        seq: int,
-        query: Query,
-        reply_to: int,
-        reply_mtype: str,
-        exec_key: Optional[tuple] = None,
-    ) -> None:
-        pred_key = state.pred_key
-        key = (qid, pred_key)
-        now = self._engine._now
-        if key in self._pending or self._seen_queries.get(key, -1.0) >= now:
-            # Duplicate delivery (stale forwarding state): answer empty so
-            # the sender's aggregation completes; our value already flows
-            # through the other path.
             self._send_reply(state, qid, reply_to, reply_mtype, None, 0)
             return
-        self._seen_queries[key] = now + self._answered_ttl
+        self._seen_queries[qkey] = now + self._answered_ttl
         if (
             len(self._answered) > self._answered_limit
             or len(self._seen_queries) > self._seen_limit
@@ -705,22 +590,42 @@ class MoaraNode:
                     self.garbage_collect(candidate)
 
         # Sequence accounting: queries missed while pruned count as qn.
+        if seq is None:
+            seq = payload["seq"]
         missed = seq - state.last_seen_seq - 1
         if missed < 0:
             missed = 0
         if seq > state.last_seen_seq:
             state.last_seen_seq = seq
         contributing = self.node_id in state.computed_update_set
-        flipped = state.adaptor.record_query(contributing, missed)
+        adaptor = state.adaptor
+        flipped = adaptor.record_query(contributing, missed)
         if flipped:
             self._after_adaptation(state, flipped)
-        if state.adaptor.update:
+        if adaptor.update:
             self._maybe_send_status(state)
 
-        targets = self._forward_targets(state)
+        # Forward-target memo (``state.forward_targets`` per (reports,
+        # membership) version pair), with the sorted-order memo: the
+        # fan-out set AND its deterministic send order are both stable
+        # between report/membership changes.
+        version = self._oindex.version
+        if state.cached_children_version == version:
+            children = state.cached_children
+        else:
+            children = self._dht_children(state)
+        fkey = (state.report_version, state.cached_children_version)
+        if state.fwd_targets_key == fkey:
+            targets = state.fwd_targets
+        else:
+            targets = state.forward_targets(children)
+            state.fwd_targets_key = fkey
+            state.fwd_targets = targets
+            state.fwd_targets_sorted = None
         # The DHT's failure detector: skip targets known to be dead.
-        live_targets = self.network.filter_alive(targets)
+        live_targets = self.network.filter_alive(targets) if targets else targets
 
+        query = payload["query"]
         partial, contributed = self._local_contribution(qid, query, now)
         if not live_targets:
             if exec_key is not None:
@@ -731,6 +636,13 @@ class MoaraNode:
                 state, qid, reply_to, reply_mtype, partial, int(contributed)
             )
             return
+        if live_targets is targets:
+            ordered = state.fwd_targets_sorted
+            if ordered is None:
+                ordered = sorted(targets)
+                state.fwd_targets_sorted = ordered
+        else:
+            ordered = sorted(live_targets)
 
         pending = _PendingQuery(
             qid=qid,
@@ -743,14 +655,14 @@ class MoaraNode:
             contributors=int(contributed),
             exec_key=exec_key,
         )
-        self._pending[key] = pending
+        self._pending[qkey] = pending
         if exec_key is not None and self._share_executions:
             self.inflight.open(exec_key, exec_key)
         # One shared payload for the whole fan-out (receivers are
         # read-only); sorted for deterministic send order.
         self.network.send_many(
             self.node_id,
-            sorted(live_targets),
+            ordered,
             mt.QUERY,
             {
                 "qid": qid,
@@ -761,7 +673,7 @@ class MoaraNode:
         )
         if self._child_timeout is not None:
             pending.timeout_handle = self._engine.schedule(
-                self._child_timeout, self._on_timeout, key
+                self._child_timeout, self._on_timeout, qkey
             )
 
     def _local_contribution(

@@ -125,9 +125,6 @@ class _Parser:
             return True
         return False
 
-    def at_end(self) -> bool:
-        return self.index >= len(self.tokens)
-
     # grammar ---------------------------------------------------------------
 
     def parse_query(self) -> Query:

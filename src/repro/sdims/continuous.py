@@ -168,6 +168,6 @@ class ContinuousAggregationSystem:
         deployment, which we charge to stay comparable with Moara)."""
         root = self.overlay.root(self.overlay.space.hash_name(attr))
         # Charge the read round-trip a client would pay.
-        self.stats.record_send(-1, root, "AGG_READ", 64)
-        self.stats.record_send(root, -1, "AGG_READ_REPLY", 64)
+        self.stats.record_send(-1, (root,), "AGG_READ", {})
+        self.stats.record_send(root, (-1,), "AGG_READ_REPLY", {})
         return self.nodes[root].root_value(attr)

@@ -54,6 +54,7 @@ from repro.core.plan_cache import (
     SharedGroupSizeCache,
 )
 from repro.core.shard_router import FrontendShardRouter
+from repro.core.single_flight import SingleFlight, always_joinable
 from repro.serve.protocol import (
     FrameError,
     SyncRpcChannel,
@@ -360,8 +361,10 @@ class RemoteSizeTier:
         self._stats = CacheStats()
         self.breaker = breaker or CircuitBreaker()
         self.reconnects = 0
-        #: key -> callbacks waiting on a joined probe's push.
-        self._callbacks: dict[str, list[Callable]] = {}
+        #: joined probes (by key, which is also the flight id) and the
+        #: callbacks waiting on their push; a push or a lost push link
+        #: closes them.
+        self.probes = SingleFlight(always_joinable)
         self._sub_task: Optional[asyncio.Task] = None
         self._sub_writer: Optional[asyncio.StreamWriter] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -466,20 +469,19 @@ class RemoteSizeTier:
             # waiting on would otherwise wait forever.  Release them
             # NULL — the front-end re-probes for itself (Section 7's
             # fail-not-hang contract, applied to the cache tier).
-            pending, self._callbacks = self._callbacks, {}
             now = self._now()
-            for key, callbacks in pending.items():
-                for callback in callbacks:
-                    callback(key, None, now)
+            for flight in self.probes.fail_all(lambda flight: True):
+                for callback in flight.waiters:
+                    callback(flight.key, None, now)
 
     def _on_resolved(self, key: str, cost: Optional[float]) -> None:
-        callbacks = self._callbacks.pop(key, ())
+        flight = self.probes.pop(key)
         if self.network is not None:
             # A push is an inbound event: it ends the current synchronous
             # burst, like any delivery on the overlay link.
             self.network.bump_burst()
         now = self._now()
-        for callback in callbacks:
+        for callback in flight.waiters if flight is not None else ():
             callback(key, cost, now)
 
     def _now(self) -> float:
@@ -562,7 +564,8 @@ class RemoteSizeTier:
         reply = self._request({"kind": "join", "key": key, "shard": shard})
         if not (reply and reply.get("joined")):
             return False
-        self._callbacks.setdefault(key, []).append(callback)
+        if self.probes.join(key, callback, None) is None:
+            self.probes.open(key, key, callback)
         return True
 
     def resolve_probe(

@@ -38,7 +38,7 @@ import random
 from collections import Counter
 from typing import Any, Optional
 
-from repro.serve.transport import LocalLoopback, _count_send
+from repro.serve.transport import LocalLoopback
 from repro.sim.network import Message
 
 __all__ = ["ChaosTransport", "LinkFault"]
@@ -137,7 +137,7 @@ class ChaosTransport:
     ) -> None:
         if payload is None:
             payload = {}
-        _count_send(self.stats, src, dst, mtype, payload)
+        tag = self.stats.record_send(src, (dst,), mtype, payload)
         now = self.now
         if now < self._dead_until:
             # Reset window: the socket is gone, the sender *knows* — the
@@ -145,7 +145,6 @@ class ChaosTransport:
             self.stats.record_drop()
             self.stats.link_send_failures += 1
             self.drops += 1
-            tag = payload.get("qid") or payload.get("probe_id")
             if tag is not None:
                 self._pending_failures.append(({tag}, "link reset"))
             return

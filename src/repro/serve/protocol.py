@@ -19,8 +19,8 @@ HTTP/JSON API only.  See ``docs/DEPLOYMENT.md`` ("Trust model").
 
 Two client shapes are provided:
 
-* coroutine framing (:func:`read_frame` / :func:`write_frame` /
-  :func:`encode_frame`) for the asyncio services, and
+* coroutine framing (:func:`read_frame` / :func:`encode_frame`) for
+  the asyncio services, and
 * :class:`SyncRpcChannel`, a blocking-socket request/response channel
   used by the front-end's cache-service client: the shared-cache calls
   (``get``/``put``/``join_probe``/…) are *synchronous* in the shared
@@ -45,7 +45,6 @@ __all__ = [
     "SyncRpcChannel",
     "encode_frame",
     "read_frame",
-    "write_frame",
 ]
 
 _LEN = struct.Struct(">I")
@@ -83,14 +82,6 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[dict[str, Any]]:
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
     return pickle.loads(payload)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, obj: dict[str, Any]
-) -> None:
-    """Write one frame and drain (backpressure-aware push path)."""
-    writer.write(encode_frame(obj))
-    await writer.drain()
 
 
 class SyncRpcChannel:

@@ -104,13 +104,6 @@ class RingDaemon:
 
     # -- membership ----------------------------------------------------
 
-    def alive_shards(self) -> set[int]:
-        return {
-            record.shard
-            for record in self._records.values()
-            if record.status == "alive"
-        }
-
     def members_snapshot(self) -> list[dict[str, Any]]:
         return [
             {

@@ -54,26 +54,6 @@ __all__ = [
 ]
 
 
-def _count_send(
-    stats: MessageStats,
-    src: int,
-    dst: int,
-    mtype: str,
-    payload: dict[str, Any],
-) -> None:
-    """The simulated network's counts-only send accounting, shared by
-    both deployed transports (kept in sync with ``Network.send``)."""
-    stats.total_messages += 1
-    stats.by_type[mtype] += 1
-    stats.sent_by_node[src] += 1
-    stats.received_by_node[dst] += 1
-    tag = payload.get("qid")
-    if tag is None:
-        tag = payload.get("probe_id")
-    if tag is not None and tag not in stats._closed_tags:
-        stats.per_query[tag] += 1
-
-
 class OverlayMirror:
     """A front-end's local replica of the overlay membership.
 
@@ -169,10 +149,7 @@ class RemoteNetwork:
     ) -> None:
         if payload is None:
             payload = {}
-        _count_send(self.stats, src, dst, mtype, payload)
-        tag = payload.get("qid")
-        if tag is None:
-            tag = payload.get("probe_id")
+        tag = self.stats.record_send(src, (dst,), mtype, payload)
         deadline = self._active_deadline
         if deadline is None and tag is not None:
             deadline = self._tag_deadlines.get(tag)
@@ -342,9 +319,7 @@ class RemoteNetwork:
                         sent_at=self.now,
                     )
                     if self._frontend is not None:
-                        tag = payload.get("qid")
-                        if tag is None:
-                            tag = payload.get("probe_id")
+                        tag = MessageStats.wire_tag(payload)
                         scope = (
                             self._tag_deadlines.get(tag)
                             if tag is not None
@@ -499,7 +474,7 @@ class LocalLoopback:
     ) -> None:
         if payload is None:
             payload = {}
-        _count_send(self.stats, src, dst, mtype, payload)
+        self.stats.record_send(src, (dst,), mtype, payload)
         self.backend.network.send(src, dst, mtype, payload)
 
     @property

@@ -10,20 +10,25 @@ service times at the sender) and serializes the ingestion of arrivals.  This
 is what lets the LAN/WAN models reproduce the fan-out- and straggler-
 dominated latencies of the paper's Emulab and PlanetLab experiments.
 
-Byte accounting is lazy: a :class:`Message` no longer walks its payload at
+Byte accounting is lazy: a :class:`Message` does not walk its payload at
 construction.  ``message.size`` is computed (and cached) on first access,
-and the network only touches it when its :class:`MessageStats` runs with
-``detailed_bytes=True`` -- the default counts-only mode skips payload
-walks entirely, which is what the paper's message-count metrics need.
+and the stats estimate bytes only with ``detailed_bytes=True`` -- the
+default counts-only mode skips payload walks entirely, which is what the
+paper's message-count metrics need.
+
+Every send call -- :meth:`Network.send` for one destination,
+:meth:`Network.send_many` for a fan-out -- is counted by one
+:meth:`MessageStats.record_send` call, and its deliveries are posted
+through the engine's ``post1_at``/``post_batch_at``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Protocol, runtime_checkable
+from typing import Any, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.sim.engine import _BATCH, _ONE, Engine
+from repro.sim.engine import Engine
 from repro.sim.latency import LatencyModel, ZeroLatencyModel
-from repro.sim.stats import MessageStats
+from repro.sim.stats import MessageStats, estimate_size, wire_size
 
 __all__ = [
     "FrontendTransport",
@@ -33,37 +38,9 @@ __all__ = [
     "estimate_size",
 ]
 
-_BASE_HEADER_BYTES = 40  # rough IP+UDP+framing overhead per message
-
 #: bound ``object.__new__`` used by the network's inlined Message
 #: construction (skips the ``__init__`` call frame on the hot path).
 _new_message = object.__new__
-
-
-def estimate_size(value: Any) -> int:
-    """Rough serialized size in bytes of a payload value.
-
-    Used only for byte accounting; the paper reports message counts, so this
-    is informational.
-    """
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, str):
-        return len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(estimate_size(k) + estimate_size(v) for k, v in value.items()) + 4
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(estimate_size(item) for item in value) + 4
-    # Fall back to the repr for unusual payloads (e.g., partial aggregates).
-    return len(repr(value))
 
 
 @runtime_checkable
@@ -151,7 +128,7 @@ class Message:
         """Estimated wire size in bytes (header + payload), computed lazily."""
         size = self._size
         if size is None:
-            size = _BASE_HEADER_BYTES + estimate_size(self.payload)
+            size = wire_size(self.payload)
             self._size = size
         return size
 
@@ -174,15 +151,6 @@ class Network:
         self.engine = engine
         self.latency_model = latency_model or ZeroLatencyModel()
         self.stats = stats or MessageStats()
-        # Hot-path bindings to the stats' counter objects (their identity
-        # survives MessageStats.reset, which clears them in place): saves
-        # one attribute hop per counter per send.
-        stats_obj = self.stats
-        self._by_type = stats_obj.by_type
-        self._sent_by_node = stats_obj.sent_by_node
-        self._received_by_node = stats_obj.received_by_node
-        self._per_query = stats_obj.per_query
-        self._closed_tags = stats_obj._closed_tags
         self._processes: dict[int, Process] = {}
         self._crashed: set[int] = set()
         self._sender_free: dict[int, float] = {}
@@ -191,10 +159,6 @@ class Network:
         #: fresh bound-method object per access, and it is scheduled once
         #: per message.
         self._deliver_cb = self._deliver
-        #: wheel kernel detected: the zero-latency fast path may append
-        #: pooled entries straight onto the engine's same-tick FIFO
-        #: (kept in sync with Engine.post1_at / post_batch_at).
-        self._wheel = engine.kernel == "wheel"
         self._fast_path = isinstance(self.latency_model, ZeroLatencyModel)
         self._const_send_service = self.latency_model.constant_send_service
         self._const_receive_service = self.latency_model.constant_receive_service
@@ -287,29 +251,32 @@ class Network:
         """Attached node ids that are not crashed."""
         return [n for n in self._processes if n not in self._crashed]
 
-    def process_for(self, node_id: int) -> Process:
-        """Look up the process object for a node id."""
-        return self._processes[node_id]
-
     def send(
         self,
         src: int,
         dst: int,
         mtype: str,
         payload: Optional[dict[str, Any]] = None,
-    ) -> Message:
-        """Send one message; returns the Message for inspection in tests.
+    ) -> None:
+        """Send one message (the one-destination case of :meth:`send_many`).
 
-        The send is always counted in stats (the bytes left ``src`` whether
-        or not ``dst`` is alive on arrival), matching the paper's message
-        accounting.
+        Kept as its own body rather than delegating: a reply is the most
+        frequent send, and the delegation's extra frame and message list
+        measurably slowed the LAN workload.  It counts and posts through
+        the same :meth:`MessageStats.record_send` and ``post1_at`` calls,
+        and posts a single event, never a batch.
         """
-        engine = self.engine
-        now = engine._now  # plain slot read; .now is a property
         if payload is None:
             payload = {}
-        # Inlined Message construction (bypasses the __init__ frame on the
-        # simulator's hottest allocation site; keep in sync with Message).
+        stats = self.stats
+        stats.record_send(src, (dst,), mtype, payload)
+        if src in self._crashed:
+            # A crashed node cannot actually emit traffic.
+            stats.dropped_messages += 1
+            return
+        engine = self.engine
+        now = engine._now  # plain slot read; .now is a property
+        # Inlined Message construction: no __init__ frame per message.
         message = _new_message(Message)
         message.mtype = mtype
         message.src = src
@@ -317,53 +284,9 @@ class Network:
         message.payload = payload
         message.sent_at = now
         message._size = None
-        # Per-query attribution: any payload carrying a query or probe id is
-        # charged to that id's tag (see MessageStats.per_query).  One lookup
-        # on the hot path; "absent" (-> probe_id fallback) is distinguished
-        # from a falsy-but-present qid, which is attributed as-is.
-        tag = payload.get("qid")
-        if tag is None:
-            tag = payload.get("probe_id")
-        # Inlined MessageStats.record_send (this is the single hottest call
-        # site in the simulator); counts-only mode never materializes
-        # message.size (no payload walk).
-        stats = self.stats
-        stats.total_messages += 1
-        if stats.detailed_bytes:
-            stats.total_bytes += message.size
-        self._by_type[mtype] += 1
-        self._sent_by_node[src] += 1
-        self._received_by_node[dst] += 1
-        if tag is not None and tag not in self._closed_tags:
-            self._per_query[tag] += 1
-        crashed = self._crashed
-        if crashed and src in crashed:
-            # A crashed node cannot actually emit traffic.
-            stats.record_drop()
-            return message
         if self._fast_path:
-            # Zero-latency delivery lands at the current tick: the wheel
-            # kernel's FIFO absorbs it with no heap operation at all.
-            # Inlined Engine.post1_at (time == now always holds here;
-            # keep in sync with the engine).
-            if self._wheel:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                pool = engine._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = now
-                    entry[1] = seq
-                    entry[2] = _ONE
-                    entry[3] = self._deliver_cb
-                    entry[4] = message
-                else:
-                    entry = [now, seq, _ONE, self._deliver_cb, message]
-                engine._fifo.append(entry)
-            else:
-                engine.post1_at(now, self._deliver_cb, message)
-            return message
+            engine.post1_at(now, self._deliver_cb, message)
+            return
         model = self.latency_model
         depart = self._sender_free.get(src, 0.0)
         if depart < now:
@@ -381,127 +304,58 @@ class Network:
         else:
             delay = model.wire_delay(src, dst)
         arrival = depart + delay
-        if self._fused:
-            # Fused arrive+deliver: the receive-side serialization is a
-            # published constant, so the ready time is computable here and
-            # the message schedules as ONE delivery event instead of an
-            # arrive event that re-schedules a deliver event.
-            stats.fused_deliveries += 1
-            rsvc = self._const_receive_service
-            if rsvc:
-                ready = self._receiver_free.get(dst, 0.0)
-                if ready < arrival:
-                    ready = arrival
-                ready += rsvc
-                self._receiver_free[dst] = ready
-                engine.post1_at(ready, self._deliver_cb, message)
-            else:
-                engine.post1_at(arrival, self._deliver_cb, message)
-        else:
+        if not self._fused:
             engine.post1_at(arrival, self._arrive, message)
-        return message
+            return
+        # Fused arrive+deliver: the receive-side serialization is a
+        # published constant, so the ready time is computable here and
+        # the message schedules as ONE delivery event instead of an arrive
+        # event that re-schedules a deliver event.
+        stats.fused_deliveries += 1
+        rsvc = self._const_receive_service
+        if rsvc:
+            ready = self._receiver_free.get(dst, 0.0)
+            if ready < arrival:
+                ready = arrival
+            arrival = ready + rsvc
+            self._receiver_free[dst] = arrival
+        engine.post1_at(arrival, self._deliver_cb, message)
 
     def send_many(
         self,
         src: int,
-        dsts: list[int],
+        dsts: Sequence[int],
         mtype: str,
         payload: Optional[dict[str, Any]] = None,
     ) -> None:
-        """Fan one payload out to several destinations (shared dict).
+        """Send one payload from ``src`` to every node in ``dsts``.
 
-        Semantically identical to calling :meth:`send` per destination --
-        receivers treat payloads as read-only, so sharing the dict is safe
-        -- but the per-message constants (tag extraction, counter and
-        model bindings, crash check) are hoisted out of the loop: query
-        fan-out is the simulator's dominant traffic.
+        Every message is counted in stats, once per call (the bytes left
+        ``src`` whether or not a destination is alive on arrival),
+        matching the paper's message accounting.  The destinations share
+        the payload dict: receivers treat payloads as read-only.  On a
+        zero-latency model every delivery lands at the current tick, so
+        the whole fan-out posts as ONE engine batch entry (the engine
+        fires one event per item, in order, so ``burst_seq`` advances
+        exactly as for one post per message).
         """
+        n = len(dsts)
+        if not n:
+            return
         if payload is None:
             payload = {}
+        stats = self.stats
+        stats.record_send(src, dsts, mtype, payload)
+        if src in self._crashed:
+            # A crashed node cannot actually emit traffic.
+            stats.dropped_messages += n
+            return
         engine = self.engine
         now = engine._now  # plain slot read; .now is a property
-        tag = payload.get("qid")
-        if tag is None:
-            tag = payload.get("probe_id")
-        stats = self.stats
-        detailed = stats.detailed_bytes
-        by_type = self._by_type
-        sent_by_node = self._sent_by_node
-        received_by_node = self._received_by_node
-        count_tag = tag is not None and tag not in self._closed_tags
-        per_query = self._per_query
-        # Aggregate counters don't depend on the destination: bump them
-        # once per burst instead of once per message (nothing observes
-        # the stats mid-call, so the final counts are identical).
-        n = len(dsts)
-        if n == 0:
-            return
-        stats.total_messages += n
-        by_type[mtype] += n
-        sent_by_node[src] += n
-        if count_tag:
-            per_query[tag] += n
-        if src in self._crashed:
-            # Byte parity with send(): the per-message size is charged
-            # even though a crashed sender's traffic never departs.
-            if detailed:
-                size = _BASE_HEADER_BYTES + estimate_size(payload)
-                stats.total_bytes += size * n
-            stats.dropped_messages += n
-            for dst in dsts:
-                received_by_node[dst] += 1
-            return
-        if self._fast_path:
-            # Same-tick fan-out: every delivery lands at `now`, so the
-            # whole burst schedules as ONE batch entry (the engine fires
-            # one event per item, in order, with per-item accounting --
-            # burst_seq advances exactly as it would for N single posts).
-            items = engine.batch_list()
-            for dst in dsts:
-                message = _new_message(Message)
-                message.mtype = mtype
-                message.src = src
-                message.dst = dst
-                message.payload = payload
-                message.sent_at = now
-                message._size = None
-                if detailed:
-                    stats.total_bytes += message.size
-                received_by_node[dst] += 1
-                items.append(message)
-            stats.batched_messages += n
-            # Inlined Engine.post_batch_at (time == now, n > 0; keep in
-            # sync with the engine).
-            if self._wheel:
-                seq = engine._seq
-                engine._seq = seq + n
-                engine._live += n
-                pool = engine._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = now
-                    entry[1] = seq
-                    entry[2] = _BATCH
-                    entry[3] = self._deliver_cb
-                    entry[4] = items
-                else:
-                    entry = [now, seq, _BATCH, self._deliver_cb, items]
-                engine._fifo.append(entry)
-            else:
-                engine.post_batch_at(now, self._deliver_cb, items)
-            return
-        model = self.latency_model
-        svc = self._const_send_service
-        cache = self._pair_delay_cache
-        fused = self._fused
-        rsvc = self._const_receive_service
-        receiver_free = self._receiver_free
-        post1 = engine.post1_at
-        deliver = self._deliver_cb
-        depart = self._sender_free.get(src, 0.0)
-        if depart < now:
-            depart = now
+        fast = self._fast_path
+        messages = engine.batch_list() if fast else []
         for dst in dsts:
+            # Inlined Message construction: no __init__ frame per message.
             message = _new_message(Message)
             message.mtype = mtype
             message.src = src
@@ -509,9 +363,29 @@ class Network:
             message.payload = payload
             message.sent_at = now
             message._size = None
-            if detailed:
-                stats.total_bytes += message.size
-            received_by_node[dst] += 1
+            messages.append(message)
+        if fast:
+            stats.batched_messages += n
+            engine.post_batch_at(now, self._deliver_cb, messages)
+            return
+        model = self.latency_model
+        svc = self._const_send_service
+        cache = self._pair_delay_cache
+        post1 = engine.post1_at
+        if self._fused:
+            # Fused arrive+deliver, as in send().
+            stats.fused_deliveries += n
+            callback = self._deliver_cb
+            rsvc = self._const_receive_service
+        else:
+            callback = self._arrive
+            rsvc = None
+        receiver_free = self._receiver_free
+        depart = self._sender_free.get(src, 0.0)
+        if depart < now:
+            depart = now
+        for message in messages:
+            dst = message.dst
             depart += svc if svc is not None else model.send_service_time(src)
             if cache is not None:
                 delay = cache.get((src, dst) if src <= dst else (dst, src))
@@ -520,20 +394,15 @@ class Network:
             else:
                 delay = model.wire_delay(src, dst)
             arrival = depart + delay
-            if fused:
-                # Fused arrive+deliver, as in send().
-                stats.fused_deliveries += 1
-                if rsvc:
-                    ready = receiver_free.get(dst, 0.0)
-                    if ready < arrival:
-                        ready = arrival
-                    ready += rsvc
-                    receiver_free[dst] = ready
-                    post1(ready, deliver, message)
-                else:
-                    post1(arrival, deliver, message)
+            if rsvc:
+                ready = receiver_free.get(dst, 0.0)
+                if ready < arrival:
+                    ready = arrival
+                ready += rsvc
+                receiver_free[dst] = ready
+                post1(ready, callback, message)
             else:
-                post1(arrival, self._arrive, message)
+                post1(arrival, callback, message)
         self._sender_free[src] = depart
 
     def _arrive(self, message: Message) -> None:

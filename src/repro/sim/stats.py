@@ -8,15 +8,20 @@ the warm-up join phase is excluded exactly as in the paper's Emulab runs).
 
 Per-query accounting: with many queries in flight at once, "total messages
 between submit and answer" no longer attributes cost to the right query.
-The network therefore tags every message that carries a query/probe id
-(``tag``), and :class:`MessageStats` keeps a per-tag counter that the
-front-end drains into exact per-query message costs; completed queries are
-appended to a :class:`QueryRecord` ledger for throughput/latency analysis.
+Every message that carries a query/probe id is therefore charged to that
+id (its wire tag, :meth:`MessageStats.wire_tag`), and
+:class:`MessageStats` keeps a per-tag counter that the front-end drains
+into exact per-query message costs; completed queries are appended to a
+:class:`QueryRecord` ledger for throughput/latency analysis.
+
+One counting rule for every transport: the simulated network and the
+deployed transports all count through :meth:`MessageStats.record_send`,
+once per send call (a fan-out is one call for all its destinations).
 
 Counts-only vs detailed bytes: by default the stats run *counts-only* --
-:attr:`MessageStats.detailed_bytes` is False and the network records every
-message with size 0, skipping the recursive payload walk entirely (the
-simulator's former number-one hot spot).  Set ``detailed_bytes=True`` to
+:attr:`MessageStats.detailed_bytes` is False and sends are counted with
+size 0, skipping the recursive payload walk entirely (the simulator's
+former number-one hot spot).  Set ``detailed_bytes=True`` to
 restore per-message byte estimation for the bandwidth figures;
 :attr:`MessageStats.total_bytes` is only meaningful in that mode.
 """
@@ -25,20 +30,64 @@ from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Hashable, Optional, Sequence
 
 #: how many recently closed query tags are remembered so that straggler
 #: messages (late child responses after a timeout) cannot re-create a
 #: drained per-query counter entry
 _CLOSED_TAG_MEMORY = 4096
 
-__all__ = ["MessageStats", "QueryRecord", "StatsSnapshot"]
+__all__ = [
+    "MessageStats",
+    "QueryRecord",
+    "StatsSnapshot",
+    "estimate_size",
+    "wire_size",
+]
+
+_BASE_HEADER_BYTES = 40  # rough IP+UDP+framing overhead per message
+
+#: :class:`MessageStats` fields that configure the ledger rather than
+#: count anything: :meth:`MessageStats.reset` leaves them unchanged.
+_CONFIG_FIELDS = frozenset({"detailed_bytes", "max_query_log"})
 
 
 #: adaptive-TTL histogram bucket edges, in seconds (see
 #: :meth:`MessageStats.record_adaptive_ttl`).
 _TTL_BUCKETS = (1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
+
+
+def estimate_size(value: Any) -> int:
+    """Rough serialized size in bytes of a payload value.
+
+    Used only for byte accounting; the paper reports message counts, so this
+    is informational.
+    """
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return 8
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, dict):
+        return sum(estimate_size(k) + estimate_size(v) for k, v in value.items()) + 4
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(estimate_size(item) for item in value) + 4
+    # Fall back to the repr for unusual payloads (e.g., partial aggregates).
+    return len(repr(value))
+
+
+def wire_size(payload: dict[str, Any]) -> int:
+    """Estimated wire size in bytes of one message carrying ``payload``
+    (header + payload)."""
+    return _BASE_HEADER_BYTES + estimate_size(payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +132,8 @@ class StatsSnapshot:
 
 @dataclass
 class MessageStats:
-    """Mutable counters updated by :class:`repro.sim.network.Network`."""
+    """Mutable counters updated by every transport (the simulated
+    :class:`repro.sim.network.Network` and the deployed ones)."""
 
     total_messages: int = 0
     total_bytes: int = 0
@@ -148,8 +198,8 @@ class MessageStats:
     standing_replans: int = 0
     standing_expired: int = 0
     standing_cancelled: int = 0
-    #: opt-in byte accounting: when True the network estimates every
-    #: message's wire size (recursive payload walk) and feeds
+    #: opt-in byte accounting: when True :meth:`record_send` estimates
+    #: every message's wire size (recursive payload walk) and feeds
     #: :attr:`total_bytes`; when False (the default, counts-only mode) it
     #: records size 0 and never touches the payload.  Configuration, not a
     #: counter: :meth:`reset` leaves it unchanged.
@@ -158,27 +208,42 @@ class MessageStats:
     #: :meth:`pop_tag` are counted in the aggregates but not re-attributed.
     _closed_tags: OrderedDict = field(default_factory=OrderedDict)
 
+    @staticmethod
+    def wire_tag(payload: dict[str, Any]) -> Optional[Hashable]:
+        """The query or probe a message is charged to: the payload's
+        ``qid``, or its ``probe_id`` when it has no ``qid``.  A falsy but
+        present ``qid`` (``""``, ``0``) is a tag like any other."""
+        tag = payload.get("qid")
+        return payload.get("probe_id") if tag is None else tag
+
     def record_send(
         self,
         src: int,
-        dst: int,
+        dsts: Sequence[int],
         mtype: str,
-        size: int,
-        tag: Optional[str] = None,
-    ) -> None:
-        """Count one message leaving ``src`` for ``dst``.
+        payload: dict[str, Any],
+    ) -> Optional[Hashable]:
+        """Count one send call: ``payload`` leaving ``src`` once for each
+        node in ``dsts``.  Returns the call's :meth:`wire_tag`.
 
-        ``tag`` attributes the message to one logical query or probe (the
-        payload's query id); untagged control traffic (status updates,
-        state sync) is counted only in the aggregate counters.
+        Tagged messages are also charged to their query or probe (see
+        :attr:`per_query`); untagged control traffic (status updates,
+        state sync) is counted only in the aggregate counters.  Bytes are
+        estimated only in :attr:`detailed_bytes` mode.
         """
-        self.total_messages += 1
-        self.total_bytes += size
-        self.by_type[mtype] += 1
-        self.sent_by_node[src] += 1
-        self.received_by_node[dst] += 1
+        n = len(dsts)
+        self.total_messages += n
+        if self.detailed_bytes:
+            self.total_bytes += n * wire_size(payload)
+        self.by_type[mtype] += n
+        self.sent_by_node[src] += n
+        received = self.received_by_node
+        for dst in dsts:
+            received[dst] += 1
+        tag = self.wire_tag(payload)
         if tag is not None and tag not in self._closed_tags:
-            self.per_query[tag] += 1
+            self.per_query[tag] += n
+        return tag
 
     def record_drop(self) -> None:
         """Count a message that was lost (e.g., destination crashed)."""
@@ -219,22 +284,11 @@ class MessageStats:
             self.query_log_dropped += drop
         self.query_log.append(record)
 
-    @property
-    def queries_completed(self) -> int:
-        """Total completed queries, including any trimmed off the ledger."""
-        return len(self.query_log) + self.query_log_dropped
-
     def avg_messages_per_query(self) -> float:
         """Mean per-query marginal message cost over the ledger."""
         if not self.query_log:
             return 0.0
         return sum(r.messages for r in self.query_log) / len(self.query_log)
-
-    def avg_query_latency(self) -> float:
-        """Mean completion latency over the ledger."""
-        if not self.query_log:
-            return 0.0
-        return sum(r.latency for r in self.query_log) / len(self.query_log)
 
     def query_latency_percentile(self, fraction: float) -> float:
         """Latency at the given fraction (0 < fraction <= 1) of the ledger."""
@@ -257,37 +311,19 @@ class MessageStats:
         )
 
     def reset(self) -> None:
-        """Zero all counters (start of a measurement window)."""
-        self.total_messages = 0
-        self.total_bytes = 0
-        self.by_type.clear()
-        self.sent_by_node.clear()
-        self.received_by_node.clear()
-        self.dropped_messages = 0
-        self.per_query.clear()
-        self.query_log.clear()
-        self.query_log_dropped = 0
-        self.root_cache_hits = 0
-        self.root_cache_misses = 0
-        self.root_subscriptions = 0
-        self.shard_queries.clear()
-        self.shard_size_hits.clear()
-        self.shard_size_misses.clear()
-        self.shared_probe_joins = 0
-        self.adaptive_ttl_hist.clear()
-        self.link_reconnects = 0
-        self.link_send_failures = 0
-        self.breaker_trips = 0
-        self.deadline_expired = 0
-        self.failed_queries = 0
-        self.fused_deliveries = 0
-        self.batched_messages = 0
-        self.standing_registered = 0
-        self.standing_updates = 0
-        self.standing_replans = 0
-        self.standing_expired = 0
-        self.standing_cancelled = 0
-        self._closed_tags.clear()
+        """Zero every counter (start of a measurement window).
+
+        Containers are cleared in place; the configuration fields
+        (:data:`_CONFIG_FIELDS`) keep their values.
+        """
+        for spec in fields(self):
+            if spec.name in _CONFIG_FIELDS:
+                continue
+            value = getattr(self, spec.name)
+            if isinstance(value, (dict, list)):
+                value.clear()
+            else:
+                setattr(self, spec.name, spec.default)
 
     def messages_per_node(self, num_nodes: int) -> float:
         """The paper's headline bandwidth metric (Figs. 9 and 10)."""

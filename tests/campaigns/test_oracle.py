@@ -132,7 +132,7 @@ def test_probe_budget_flags_a_probe_storm(plane: SimPlane) -> None:
     text = "SELECT COUNT(*) WHERE g = true"
     before = plane.stats.snapshot()
     for _ in range(5):  # 5 wire probes for 1 distinct predicate attribute
-        plane.stats.record_send(-1, 7, SIZE_PROBE, 0)
+        plane.stats.record_send(-1, (7,), SIZE_PROBE, {})
     checker.check_batch("p", [text, text, text], [], before, True)
     assert [v["invariant"] for v in checker.violations] == ["probes"]
     violation = checker.violations[0]
@@ -150,7 +150,7 @@ def test_probe_slack_raises_the_budget(plane: SimPlane) -> None:
     text = "SELECT COUNT(*) WHERE g = true"
     before = plane.stats.snapshot()
     for _ in range(5):
-        plane.stats.record_send(-1, 7, SIZE_PROBE, 0)
+        plane.stats.record_send(-1, (7,), SIZE_PROBE, {})
     checker.check_batch("p", [text], [], before, True)
     assert checker.violations == []
 

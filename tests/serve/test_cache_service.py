@@ -12,6 +12,7 @@ from repro.core.frontend import Frontend
 from repro.serve.cache_service import CacheService, RemoteSizeTier
 from repro.serve.fleet import ServiceThread
 from repro.serve.protocol import SyncRpcChannel
+from repro.serve.transport import RemoteNetwork
 
 
 @pytest.fixture
@@ -115,6 +116,41 @@ def test_probe_registry_pushes_resolution_to_joined_shard(service) -> None:
     asyncio.run(scenario())
 
 
+def test_push_resolution_bumps_the_attached_network_burst(service) -> None:
+    """A push is an inbound event: on a tier wired to the shard's
+    :class:`RemoteNetwork` it ends the current synchronous burst, and the
+    joined probe's callbacks see the resolved cost."""
+    key = "(db = true)"
+
+    async def scenario():
+        network = RemoteNetwork("127.0.0.1", 1, node_id=-1, reconnect=False)
+        tier = RemoteSizeTier("127.0.0.1", service.port, shard=1, network=network)
+        await tier.start()
+        rpc0 = _rpc(service, 0)
+        try:
+            rpc0.request({"kind": "open", "key": key, "shard": 0, "tag": "pr-2"})
+            got: list = []
+            assert tier.join_probe(
+                key, 1, 0, lambda k, cost, now: got.append((k, cost))
+            )
+            assert len(tier.probes) == 1
+            burst = network.burst_seq
+            rpc0.request(
+                {"kind": "resolve", "key": key, "tag": "pr-2", "cost": 9.0}
+            )
+            deadline = time.monotonic() + 3.0
+            while not got and time.monotonic() < deadline:
+                await asyncio.sleep(0.02)
+            assert got == [(key, 9.0)]
+            assert network.burst_seq == burst + 1
+            assert len(tier.probes) == 0
+        finally:
+            rpc0.close()
+            await tier.close()
+
+    asyncio.run(scenario())
+
+
 def test_join_window_expires_stale_probes() -> None:
     thread = ServiceThread("cache-window-test")
     service = CacheService(ttl=60.0, join_window=0.05)
@@ -203,12 +239,13 @@ def test_lost_push_link_releases_joined_probes(service) -> None:
             # ...so shard 1 probes a itself and parks on g.
             qid = fe.submit(text)
             assert cluster.stats.shared_probe_joins == 1
-            assert list(tier._callbacks) == ["(g = true)"]
+            assert len(tier.probes) == 1
+            assert tier.probes.get("(g = true)") is not None
             tier._sub_writer.close()  # the push link dies
             deadline = time.monotonic() + 3.0
-            while tier._callbacks and time.monotonic() < deadline:
+            while len(tier.probes) and time.monotonic() < deadline:
                 await asyncio.sleep(0.02)
-            assert not tier._callbacks
+            assert len(tier.probes) == 0
             cluster.run_until_idle()
             result = fe.results.pop(qid)
             assert not result.failed

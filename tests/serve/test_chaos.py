@@ -15,7 +15,7 @@ import json
 
 from repro.core.cluster import MoaraCluster
 from repro.serve.chaos import ChaosTransport, LinkFault
-from repro.serve.transport import LoopbackPlane, RemoteNetwork
+from repro.serve.transport import LocalLoopback, LoopbackPlane, RemoteNetwork
 from repro.sim import network as simnet
 
 
@@ -203,3 +203,23 @@ def test_remote_network_expired_deadline_refuses_the_send() -> None:
         net.send(-1, 7, "SIZE_PROBE", {"probe_id": "p-late"})
     assert net.stats.deadline_expired == 1
     assert frontend.failures == [({"p-late"}, "end-to-end deadline exceeded")]
+
+
+def test_reset_window_fails_the_wire_tag() -> None:
+    # The reset window fails a send's query under the ledger's tag rule:
+    # a falsy-but-present qid is the tag, the probe id only stands in
+    # when the payload has no qid.
+    chaos = ChaosTransport(LocalLoopback(_backend(), node_id=-1))
+    frontend = _RecordingFrontend()
+    chaos.attach(frontend)
+    chaos.reset_link(duration=10.0)
+    chaos.send(-1, 7, "FRONTEND_QUERY", {"qid": "", "probe_id": "p-9"})
+    chaos.send(-1, 7, "SIZE_PROBE", {"probe_id": "p-1"})
+    chaos.pump(drain_backend=False)
+    assert frontend.failures == [
+        (None, "link reset"),
+        ({""}, "link reset"),
+        ({"p-1"}, "link reset"),
+    ]
+    assert chaos.stats.link_send_failures == 2
+    assert chaos.stats.tagged("") == 1

@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.core.cluster import MoaraCluster
+from repro.serve.chaos import ChaosTransport
+from repro.serve.transport import LocalLoopback
 from repro.sim import (
     Engine,
     LANLatencyModel,
@@ -94,9 +97,12 @@ def test_detailed_bytes_mode_tracks_bytes() -> None:
 def test_message_size_lazy_and_cached() -> None:
     engine = Engine()
     network = Network(engine, ZeroLatencyModel())  # counts-only stats
+    receiver = Recorder(2)
     network.attach(Recorder(1))
-    network.attach(Recorder(2))
-    message = network.send(1, 2, "QUERY", {"blob": "x" * 100})
+    network.attach(receiver)
+    network.send(1, 2, "QUERY", {"blob": "x" * 100})
+    engine.run_until_idle()
+    (message,) = receiver.received
     # Counts-only mode never walked the payload ...
     assert message._size is None
     # ... but the estimate is still available on demand, and cached.
@@ -106,22 +112,58 @@ def test_message_size_lazy_and_cached() -> None:
     assert message.size == first
 
 
-def test_tag_attribution_distinguishes_absent_from_falsy() -> None:
-    engine = Engine()
-    network = Network(engine, ZeroLatencyModel())
+def _network_ledger() -> tuple[Network, MessageStats]:
+    network = Network(Engine(), ZeroLatencyModel())
     network.attach(Recorder(1))
     network.attach(Recorder(2))
-    network.send(1, 2, "QUERY", {"qid": "q1"})
-    network.send(1, 2, "QUERY", {"qid": "q1"})
+    return network, network.stats
+
+
+def _loopback_ledger() -> tuple[LocalLoopback, MessageStats]:
+    transport = LocalLoopback(MoaraCluster(num_nodes=8, num_frontends=0), -1)
+    return transport, transport.stats
+
+
+def _chaos_ledger() -> tuple[ChaosTransport, MessageStats]:
+    inner, _ = _loopback_ledger()
+    transport = ChaosTransport(inner)
+    return transport, transport.stats
+
+
+@pytest.mark.parametrize(
+    "ledger",
+    [_network_ledger, _loopback_ledger, _chaos_ledger],
+    ids=["network", "loopback", "chaos"],
+)
+def test_tag_attribution_distinguishes_absent_from_falsy(ledger) -> None:
+    transport, stats = ledger()
+    transport.send(1, 2, "QUERY", {"qid": "q1"})
+    transport.send(1, 2, "QUERY", {"qid": "q1"})
     # A falsy-but-present qid is attributed as-is, not misrouted to probe_id.
-    network.send(1, 2, "QUERY", {"qid": "", "probe_id": "p9"})
+    transport.send(1, 2, "QUERY", {"qid": "", "probe_id": "p9"})
     # An absent qid falls back to the probe tag.
-    network.send(1, 2, "PROBE", {"probe_id": "p1"})
-    stats = network.stats
+    transport.send(1, 2, "PROBE", {"probe_id": "p1"})
+    assert stats.total_messages == 4
     assert stats.tagged("q1") == 2
     assert stats.tagged("") == 1
     assert stats.tagged("p9") == 0
     assert stats.tagged("p1") == 1
+
+
+def test_send_many_counts_once_per_destination() -> None:
+    engine, network, a, b = make_net()
+    network.send_many(1, [2, 1, 2], "QUERY", {"qid": "q"})
+    # A single send is posted on its own, never as a batch.
+    network.send(2, 1, "RESPONSE", {"qid": "q"})
+    engine.run_until_idle()
+    stats = network.stats
+    assert [m.dst for m in b.received] == [2, 2]
+    assert [m.mtype for m in a.received] == ["QUERY", "RESPONSE"]
+    assert stats.total_messages == 4
+    assert stats.sent_by_node == {1: 3, 2: 1}
+    assert stats.received_by_node == {2: 2, 1: 2}
+    assert stats.tagged("q") == 4
+    assert stats.batched_messages == 3
 
 
 def test_crashed_destination_drops(network: Network) -> None:
